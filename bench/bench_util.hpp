@@ -8,12 +8,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "baselines/baselines.hpp"
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "support/config.hpp"
 
@@ -60,20 +62,76 @@ inline void hr(int width = 100) {
   std::fputc('\n', stdout);
 }
 
-/// Campaign options tuned so a full bench binary stays in the minutes
-/// range.
-inline core::CampaignOptions quick_campaign() {
-  core::CampaignOptions opts;
-  opts.pipeline.plan.max_chains = 8;
-  opts.pipeline.plan.time_budget_seconds = 20;
-  opts.pipeline.plan.max_expansions = 4000;
-  opts.sgc_max_chains = 4;
-  return opts;
-}
-
 /// Session concurrency for bench campaigns: bounded fan-out on top of the
 /// engine's shared pool (each session also parallelizes internally).
 inline int bench_concurrency() { return std::min(4, config().threads); }
+
+/// Campaign options tuned so a full bench binary stays in the minutes
+/// range.
+inline core::Campaign::Options quick_campaign() {
+  core::Campaign::Options opts;
+  opts.concurrency = bench_concurrency();
+  opts.pipeline.plan.max_chains = 8;
+  opts.pipeline.plan.time_budget_seconds = 20;
+  opts.pipeline.plan.max_expansions = 4000;
+  return opts;
+}
+
+/// The four tools of Tables IV–VI, in table order.
+inline constexpr const char* kTools[] = {"ROPGadget", "Angrop", "SGC",
+                                         "Gadget-Planner"};
+
+/// One tool's results on one campaign job.
+struct ToolRun {
+  u64 gadgets_total = 0;  // size of the tool's own gadget pool
+  u64 gadgets_used = 0;   // gadgets in its chains, summed over goals
+  std::vector<std::vector<payload::Chain>> chains;  // per goal, job order
+  int total_chains() const {
+    int n = 0;
+    for (const auto& c : chains) n += static_cast<int>(c.size());
+    return n;
+  }
+};
+using ToolRuns = std::array<ToolRun, 4>;  // indexed like kTools
+
+/// SGC's search limits; each table sets its own.
+struct SgcLimits {
+  int max_chains;
+  double seconds;
+};
+
+/// Run `jobs` as one Campaign with the three baselines riding along in its
+/// on_job hook: with the job's Session still alive, each baseline runs
+/// every goal, Angrop and SGC on Gadget-Planner's own context and minimized
+/// library. Returns every job's four tool results, in job order.
+inline std::vector<ToolRuns> run_tools(const std::vector<core::Job>& jobs,
+                                       core::Campaign::Options copts,
+                                       SgcLimits sgc) {
+  std::vector<ToolRuns> out(jobs.size());
+  copts.on_job = [&](const core::Job& job, core::Session& s,
+                     core::JobResult& r) {
+    // The hook receives jobs[i] itself, so each lane fills its own slot.
+    ToolRuns& t = out[static_cast<size_t>(&job - jobs.data())];
+    auto add = [](ToolRun& tool, baselines::Result res) {
+      tool.gadgets_total = res.gadgets_total;
+      tool.gadgets_used += res.gadgets_used;
+      tool.chains.push_back(std::move(res.chains));
+    };
+    for (const auto& goal : job.goals)
+      add(t[0], baselines::rop_gadget(s.img(), goal));
+    for (const auto& goal : job.goals)
+      add(t[1], baselines::angrop(s.ctx(), s.library(), s.img(), goal));
+    for (const auto& goal : job.goals)
+      add(t[2], baselines::sgc(s.ctx(), s.library(), s.img(), goal,
+                               sgc.max_chains, sgc.seconds));
+    t[3].gadgets_total = s.library().size();
+    t[3].chains = r.chains;
+    for (const auto& chains : r.chains)
+      for (const auto& c : chains) t[3].gadgets_used += c.gadgets.size();
+  };
+  core::Campaign(core::Engine::shared(), copts).run(jobs);
+  return out;
+}
 
 /// Campaign jobs: every bench program under one obfuscation config.
 inline std::vector<core::Job> bench_jobs(

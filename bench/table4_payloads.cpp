@@ -9,7 +9,6 @@
 int main() {
   using namespace gp;
   const auto programs = bench::bench_programs();
-  const auto campaign_opts = bench::quick_campaign();
   const auto& goals = payload::Goal::all();
 
   std::printf("Table IV — payloads per tool, summed over %zu benchmark "
@@ -22,26 +21,28 @@ int main() {
     u64 gadgets_total = 0, gadgets_used = 0;
     int chains[3] = {0, 0, 0};
   };
-  std::vector<std::vector<ToolAgg>> totals;
-
   const auto rows = bench::table4_rows();
+  std::vector<std::vector<ToolAgg>> totals(rows.size(),
+                                           std::vector<ToolAgg>(4));
+
+  std::vector<core::Job> jobs;  // row-major: every program under each row
   for (const auto& row : rows) {
-    std::vector<ToolAgg> agg(4);
-    for (const auto& program : programs) {
-      auto r = core::run_campaign(program.name, program.source, row.options,
-                                  campaign_opts);
-      for (size_t t = 0; t < r.tools.size(); ++t) {
-        agg[t].gadgets_total += r.tools[t].gadgets_total;
-        agg[t].gadgets_used += r.tools[t].gadgets_used;
-        for (size_t g = 0; g < goals.size(); ++g)
-          agg[t].chains[g] += r.tools[t].chains_per_goal[g];
-      }
+    auto row_jobs = bench::bench_jobs(row.options, row.label);
+    jobs.insert(jobs.end(), row_jobs.begin(), row_jobs.end());
+  }
+  const auto runs = bench::run_tools(jobs, bench::quick_campaign(),
+                                     {.max_chains = 4, .seconds = 20});
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    auto& agg = totals[j / programs.size()];
+    for (size_t t = 0; t < agg.size(); ++t) {
+      const bench::ToolRun& run = runs[j][t];
+      agg[t].gadgets_total += run.gadgets_total;
+      agg[t].gadgets_used += run.gadgets_used;
+      for (size_t g = 0; g < goals.size(); ++g)
+        agg[t].chains[g] += static_cast<int>(run.chains[g].size());
     }
-    totals.push_back(std::move(agg));
   }
 
-  static const char* kTools[] = {"ROPGadget", "Angrop", "SGC",
-                                 "Gadget-Planner"};
   for (size_t rowi = 0; rowi < rows.size(); ++rowi) {
     std::printf("== %s ==\n", rows[rowi].label.c_str());
     std::printf("%-16s %14s %10s %8s %9s %6s %7s%s\n", "tool",
@@ -51,7 +52,7 @@ int main() {
     for (int t = 0; t < 4; ++t) {
       const auto& a = totals[rowi][t];
       const int total = a.chains[0] + a.chains[1] + a.chains[2];
-      std::printf("%-16s %14llu %10llu %8d %9d %6d %7d", kTools[t],
+      std::printf("%-16s %14llu %10llu %8d %9d %6d %7d", bench::kTools[t],
                   (unsigned long long)a.gadgets_total,
                   (unsigned long long)a.gadgets_used, a.chains[0],
                   a.chains[1], a.chains[2], total);

@@ -4,12 +4,8 @@
 // Gadget-Planner uses all types and builds the longest chains.
 //
 // One Campaign covers the whole (program × obfuscation) grid; the baseline
-// tools ride along in the on_job hook, which runs with each job's Session
-// still alive so they share its context and minimized library.
-#include <mutex>
-
+// tools ride along in its on_job hook (bench::run_tools).
 #include "bench_util.hpp"
-#include "baselines/baselines.hpp"
 
 namespace {
 
@@ -46,8 +42,6 @@ struct Props {
 
 int main() {
   using namespace gp;
-  Props props[4];
-  std::mutex props_mu;
 
   std::vector<core::Job> jobs;
   for (const auto& row : bench::table4_rows()) {
@@ -60,23 +54,13 @@ int main() {
   copts.concurrency = bench::bench_concurrency();
   copts.pipeline.plan.max_chains = 8;
   copts.pipeline.plan.time_budget_seconds = 20;
-  copts.on_job = [&](const core::Job& job, core::Session& s,
-                     core::JobResult& r) {
-    // Baselines share the session's context and library; the lock also
-    // serializes them, so the shared Props never race.
-    std::lock_guard<std::mutex> lock(props_mu);
-    for (size_t g = 0; g < job.goals.size(); ++g) {
-      const auto& goal = job.goals[g];
-      auto rg = baselines::rop_gadget(s.img(), goal);
-      for (const auto& c : rg.chains) props[0].add(c);
-      auto an = baselines::angrop(s.ctx(), s.library(), s.img(), goal);
-      for (const auto& c : an.chains) props[1].add(c);
-      auto sg = baselines::sgc(s.ctx(), s.library(), s.img(), goal, 2, 10);
-      for (const auto& c : sg.chains) props[2].add(c);
-      for (const auto& c : r.chains[g]) props[3].add(c);
-    }
-  };
-  core::Campaign(core::Engine::shared(), copts).run(jobs);
+  const auto runs =
+      bench::run_tools(jobs, copts, {.max_chains = 2, .seconds = 10});
+  Props props[4];
+  for (const auto& t : runs)
+    for (size_t tool = 0; tool < t.size(); ++tool)
+      for (const auto& chains : t[tool].chains)
+        for (const auto& c : chains) props[tool].add(c);
 
   std::printf("Table V — chain properties on obfuscated programs "
               "(codegen %s)\n",
@@ -84,9 +68,7 @@ int main() {
   std::printf("%-16s %10s %10s %8s %6s %6s %6s\n", "tool", "gadget-len",
               "chain-len", "Ret", "IJ", "DJ", "CJ");
   bench::hr(70);
-  static const char* kTools[] = {"ROPGadget", "Angrop", "SGC",
-                                 "Gadget-Planner"};
-  for (int t = 0; t < 4; ++t) props[t].print(kTools[t]);
+  for (int t = 0; t < 4; ++t) props[t].print(bench::kTools[t]);
   std::printf("\n(paper Table V: GP gadget-len 6.7, chain-len 33.5, mix "
               "38/10/12/40; peers 100%% Ret)\n");
   return 0;

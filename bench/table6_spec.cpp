@@ -5,7 +5,6 @@
 
 int main() {
   using namespace gp;
-  auto campaign_opts = bench::quick_campaign();
 
   std::printf("Table VI — SPEC-like programs (execve/mprotect/mmap chains "
               "summed)\n");
@@ -13,16 +12,27 @@ int main() {
               "gadgets", "RG", "Angrop", "SGC", "GP");
   bench::hr(76);
 
+  std::vector<core::Job> jobs;
   for (const auto& program : corpus::spec()) {
     for (const auto& row : bench::table4_rows(429)) {
-      auto r = core::run_campaign(program.name, program.source, row.options,
-                                  campaign_opts);
-      std::printf("%-12s %-10s %10llu | %6d %6d %6d %6d\n",
-                  program.name.c_str(), row.label.c_str(),
-                  (unsigned long long)r.tools[3].gadgets_total,
-                  r.tools[0].total_chains(), r.tools[1].total_chains(),
-                  r.tools[2].total_chains(), r.tools[3].total_chains());
+      core::Job job;
+      job.program = program.name;
+      job.source = program.source;
+      job.obfuscation = row.label;
+      job.obf = row.options;
+      jobs.push_back(std::move(job));
     }
+  }
+  const auto runs = bench::run_tools(jobs, bench::quick_campaign(),
+                                     {.max_chains = 4, .seconds = 20});
+
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const bench::ToolRuns& t = runs[j];
+    std::printf("%-12s %-10s %10llu | %6d %6d %6d %6d\n",
+                jobs[j].program.c_str(), jobs[j].obfuscation.c_str(),
+                (unsigned long long)t[3].gadgets_total, t[0].total_chains(),
+                t[1].total_chains(), t[2].total_chains(),
+                t[3].total_chains());
   }
   std::printf("\n(paper Table VI: RG/Angrop ~0 everywhere; GP finds chains, "
               "most on obfuscated builds)\n");

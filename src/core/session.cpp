@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "gadget/serialize.hpp"
@@ -294,7 +293,7 @@ Status Session::subsume() {
       serial::Writer material;
       append_image_key(material);
       gadget::append_extract_key(material, opts_.extract);
-      material.put_u64(/*max_solver_checks=*/20'000);
+      material.put_u64(subsume::kDefaultMaxSolverChecks);
       subsume_key = store_->key("subsume", material);
       if (auto art = store_->get(subsume_key)) {
         if (auto decoded = gadget::decode_pool(*ctx_, art->records)) {
@@ -313,7 +312,7 @@ Status Session::subsume() {
             subsume_stats_ = {};
             auto work = raw;
             pool_ = subsume::minimize(*ctx_, std::move(work), &subsume_stats_,
-                                      /*max_solver_checks=*/20'000,
+                                      subsume::kDefaultMaxSolverChecks,
                                       /*threads=*/0, &g);
             return subsume_stats_.status;
           });
@@ -415,21 +414,11 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
           reg.counter("plan.needs_truncated").add(s.needs_truncated);
           reg.counter("plan.unreachable_goals").add(s.unreachable_goals);
           reg.counter("plan.failure_budget_cuts").add(s.failure_budget_cuts);
-          // The precheck completes in sub-millisecond time, so a
-          // per-call millisecond truncation always recorded 0 ("precheck
-          // never ran"). Record microseconds, and derive the legacy ms
-          // counter from the us total with a carried remainder so
-          // sub-millisecond calls still accumulate into it.
+          // The precheck completes in sub-millisecond time, so it is
+          // recorded in microseconds: a millisecond counter truncated every
+          // call to 0 ("precheck never ran").
           reg.counter("plan.unreachable_us")
               .add(static_cast<u64>(s.precheck_seconds * 1e6));
-          {
-            static std::mutex mu;
-            static u64 carry_us = 0;
-            std::lock_guard<std::mutex> lock(mu);
-            carry_us += static_cast<u64>(s.precheck_seconds * 1e6);
-            reg.counter("plan.unreachable_ms").add(carry_us / 1000);
-            carry_us %= 1000;
-          }
         }
         return s.status;
       });

@@ -12,7 +12,8 @@
 // library) is immutable afterwards and every accessor observes the same
 // artifact. Stages are supervised (retry with widened budgets on
 // recoverable failure) and checkpointed through the engine's artifact
-// store exactly as the monolithic GadgetPlanner pipeline was.
+// store. For the eager shape (pool stages up front), call prepare() right
+// after construction.
 //
 // Concurrency contract: ONE thread drives a given session, but any number
 // of sessions may run concurrently against one Engine — each session owns

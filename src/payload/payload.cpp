@@ -1,8 +1,6 @@
 #include "payload/payload.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "lift/lift.hpp"
@@ -68,19 +66,13 @@ namespace {
 /// Re-execute a gadget's recorded path on a shared symbolic state,
 /// collecting branch-decision constraints. Returns the final Flow.
 sym::Flow replay(sym::Executor& exec, solver::Context& ctx, sym::State& st,
-                 const Record& g, std::vector<ExprRef>& constraints,
-                 bool dbg) {
+                 const Record& g, std::vector<ExprRef>& constraints) {
   sym::Flow flow;
   for (const gadget::PathStep& step : g.path) {
     flow = exec.step(st, lift::lift(step.inst));
     if (flow.kind == ir::JumpKind::CondDirect) {
-      const ExprRef c =
-          step.branch_taken ? flow.cond : ctx.bnot(flow.cond);
-      if (dbg && ctx.is_const(c, 0))
-        fprintf(stderr, "FALSE path-cond at gadget %llx inst %s\n",
-                (unsigned long long)g.addr,
-                x86::to_string(step.inst).c_str());
-      constraints.push_back(c);
+      constraints.push_back(step.branch_taken ? flow.cond
+                                              : ctx.bnot(flow.cond));
     }
   }
   return flow;
@@ -110,25 +102,18 @@ std::optional<Chain> concretize(solver::Context& ctx,
   exec.set_governor(opts.governor);
   sym::State st = exec.initial_state();
   std::vector<ExprRef> constraints;
-  const bool dbg = opts.debug_conc2;
-  auto push_c = [&](ExprRef c, const char* tag) {
-    if (dbg && ctx.is_const(c, 0))
-      fprintf(stderr, "FALSE constraint from %s\n", tag);
-    constraints.push_back(c);
-  };
 
   for (size_t i = 0; i < ordered.size(); ++i) {
     const Record& g = lib[ordered[i]];
-    const sym::Flow flow = replay(exec, ctx, st, g, constraints, dbg);
+    const sym::Flow flow = replay(exec, ctx, st, g, constraints);
     if (i + 1 < ordered.size()) {
       // Link: this gadget's transfer must land on the next gadget.
       if (flow.kind != ir::JumpKind::Indirect) {
         ++cs.bad_flow;
         return std::nullopt;
       }
-      push_c(ctx.eq(flow.target_expr,
-                    ctx.constant(lib[ordered[i + 1]].addr, 64)),
-             "link");
+      constraints.push_back(ctx.eq(
+          flow.target_expr, ctx.constant(lib[ordered[i + 1]].addr, 64)));
     } else {
       if (flow.kind != ir::JumpKind::Syscall) {
         ++cs.bad_flow;
@@ -270,9 +255,8 @@ std::optional<Chain> concretize(solver::Context& ctx,
       const i64 region = next_free;
       next_free += (span + 7) & ~i64{7};
       // Aim the base so the lowest read lands at the region start.
-      push_c(ctx.eq(base,
-                    ctx.add(rsp0, ctx.constant(region - grp.min_off, 64))),
-             "region-aim");
+      constraints.push_back(ctx.eq(
+          base, ctx.add(rsp0, ctx.constant(region - grp.min_off, 64))));
       for (const auto& [ir, off] : grp.reads) {
         const i64 rel = off - grp.min_off;
         const i64 slot = (region + rel) & ~i64{7};
@@ -301,22 +285,16 @@ std::optional<Chain> concretize(solver::Context& ctx,
   for (const RegTarget& t : goal.regs) {
     const ExprRef final = st.regs[static_cast<int>(t.reg)];
     if (t.kind == RegTarget::Kind::Const) {
-      if (ctx.is_const(final) && ctx.const_val(final) != t.value) {
+      if (ctx.is_const(final) && ctx.const_val(final) != t.value)
         cs.last_mismatch_reg = t.reg;
-        if (dbg)
-          fprintf(stderr, "goal-const mismatch: %s = %llx want %llx\n",
-                  x86::reg_name(t.reg),
-                  (unsigned long long)ctx.const_val(final),
-                  (unsigned long long)t.value);
-      }
-      push_c(ctx.eq(final, ctx.constant(t.value, 64)), "goal-const");
+      constraints.push_back(ctx.eq(final, ctx.constant(t.value, 64)));
     } else {
       GP_CHECK(t.bytes.size() <= 8, "pointer payload must fit one slot");
       const i64 slot = next_free;
       next_free += 8;
       pointer_slots.push_back({slot, t.bytes});
-      push_c(ctx.eq(final, ctx.add(rsp0, ctx.constant(slot, 64))),
-             "goal-pointer");
+      constraints.push_back(
+          ctx.eq(final, ctx.add(rsp0, ctx.constant(slot, 64))));
       u64 word = 0;
       for (size_t k = 0; k < t.bytes.size(); ++k)
         word |= static_cast<u64>(t.bytes[k]) << (8 * k);
@@ -345,23 +323,6 @@ std::optional<Chain> concretize(solver::Context& ctx,
       return std::nullopt;
     }
     ++cs.unsat;
-    if (dbg && cs.unsat <= 5) {
-      fprintf(stderr, "=== UNSAT constraint set (%zu) ===\n",
-              constraints.size());
-      for (const ExprRef c : constraints)
-        fprintf(stderr, "  %s\n", ctx.to_string(c).substr(0, 400).c_str());
-      // Greedy minimal-core search: drop constraints that keep UNSAT.
-      std::vector<ExprRef> core = constraints;
-      for (size_t i = 0; i < core.size();) {
-        std::vector<ExprRef> trial = core;
-        trial.erase(trial.begin() + i);
-        if (!solver.check_sat(trial)) core = trial;
-        else ++i;
-      }
-      fprintf(stderr, "=== minimal core (%zu) ===\n", core.size());
-      for (const ExprRef c : core)
-        fprintf(stderr, "  %s\n", ctx.to_string(c).substr(0, 600).c_str());
-    }
     return std::nullopt;
   }
 
@@ -433,17 +394,6 @@ bool validate(const image::Image& img, const Chain& chain, const Goal& goal,
   e.set_rip(chain.entry);
 
   const auto result = e.run(200'000);
-  if (config().debug_val) {
-    fprintf(stderr, "validate: stop=%s at rip=%llx steps=%llu syscall=%llu\n",
-            emu::stop_reason_name(result.reason),
-            (unsigned long long)result.rip,
-            (unsigned long long)result.steps,
-            (unsigned long long)result.syscall_no);
-    for (const RegTarget& t : goal.regs)
-      fprintf(stderr, "  %s = %llx (want %llx)\n", x86::reg_name(t.reg),
-              (unsigned long long)e.reg(t.reg),
-              (unsigned long long)t.value);
-  }
   if (result.reason != emu::StopReason::Syscall) return false;
   if (result.syscall_no != goal.syscall_no) return false;
   for (const RegTarget& t : goal.regs) {

@@ -24,7 +24,6 @@
 #include "emu/emu.hpp"
 #include "gadget/gadget.hpp"
 #include "solver/solver.hpp"
-#include "support/config.hpp"
 
 namespace gp::payload {
 
@@ -98,10 +97,6 @@ struct ConcretizeOptions {
   /// solve (solver checks, deadline watchdog). Exhaustion fails the call
   /// (nullopt + a stats counter) — never a crash, never a partial chain.
   Governor* governor = nullptr;
-  /// Constraint-builder tracing to stderr (false constraints, UNSAT cores).
-  /// Resolved once from the gp::Config snapshot (GP_DEBUG_CONC2) instead
-  /// of a per-constraint getenv in the composition loop.
-  bool debug_conc2 = config().debug_conc2;
 };
 
 /// Compose, solve and validate. Returns nullopt if the sequence has no

@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "support/rng.hpp"
-#include <cstdlib>
-#include <cstdio>
 #include <queue>
 #include <set>
 
@@ -190,30 +188,27 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
   }
 
   int taken = 0;
-  int f_adm = 0, f_sys = 0, f_sd = 0, f_const = 0, f_goalc = 0, f_dead = 0;
   for (const auto& [cp, score] : ranked) {
     if (taken >= opts.max_candidates_per_goal) break;
     const Candidate& c = *cp;
     const u32 gi = c.gadget;
     const Record& g = lib_[gi];
-    if (!admissible(g, opts)) { ++f_adm; continue; }
+    if (!admissible(g, opts)) continue;
     // A chain's inner gadget must transfer control onward to a place the
     // payload can choose; a constant target (resolved jump table) would
     // force a specific successor address.
-    if (c.flags & Candidate::kSyscallEnd) { ++f_sys; continue; }
+    if (c.flags & Candidate::kSyscallEnd) continue;
     // Ret gadgets whose stack delta is symbolic are still usable when the
     // final rsp is attacker-aimable (a stack pivot, e.g. lea rsp,[rbp-K]
     // with a popped rbp); the composition solver aims the pivot into the
     // payload.
-    if (c.flags & Candidate::kStackBad) { ++f_sd; continue; }
-    if (c.flags & Candidate::kNextRipConst) { ++f_const; continue; }
+    if (c.flags & Candidate::kStackBad) continue;
+    if (c.flags & Candidate::kNextRipConst) continue;
     // A constant-valued setter cannot be steered; it only ever serves a
     // terminal goal whose target is that exact constant.
     if ((c.flags & Candidate::kConstValue) &&
-        !(consumer < 0 && goal_const_match(reg, c.const_value))) {
-      ++f_goalc;
+        !(consumer < 0 && goal_const_match(reg, c.const_value)))
       continue;
-    }
 
     Plan base = p;
     base.delta.pop_back();
@@ -332,17 +327,6 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
       if (out.size() > 64) break;  // successor cap per expansion
     }
     if (!produced) {
-      ++f_dead;
-      if (opts.debug_plan && f_dead <= 2) {
-        fprintf(stderr, "    dead cand g[%u] threats=%zu beta=%zu:", gi,
-                threats.size(), base.beta.size());
-        for (auto& t : threats)
-          fprintf(stderr, " (B%d,P%d,C%d)", t.clobberer, t.producer,
-                  t.consumer);
-        fprintf(stderr, " | beta:");
-        for (auto& [x, y] : base.beta) fprintf(stderr, " %d<%d", x, y);
-        fprintf(stderr, "\n");
-      }
       ++stats_.dead_ends;
       continue;
     }
@@ -350,13 +334,6 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     ++stats_.successors;
   }
   if (out.empty()) ++stats_.dead_ends;
-  if (out.empty() && opts.debug_plan) {
-    fprintf(stderr,
-            "  expand(%s/%d): ranked=%zu taken=%d adm=%d sys=%d sd=%d "
-            "const=%d goalc=%d dead=%d\n",
-            x86::reg_name(reg), consumer, ranked.size(), taken, f_adm, f_sys,
-            f_sd, f_const, f_goalc, f_dead);
-  }
   return out;
 }
 
@@ -633,13 +610,6 @@ void Planner::run_round(const Goal& goal, const Options& opts,
     queue.pop();
     ++expansions;
     ++stats_.expansions;
-    if (opts.debug_plan && expansions <= 80) {
-      fprintf(stderr, "pop #%d delta=%zu alpha=%zu ncon=%d [", expansions,
-              best.delta.size(), best.alpha.size(), best.n_constraints);
-      for (auto& [r, c] : best.delta)
-        fprintf(stderr, "%s/%d ", x86::reg_name(r), c);
-      fprintf(stderr, "]\n");
-    }
 
     if (best.delta.empty()) {
       // Complete plan: linearize and concretize.
@@ -662,17 +632,6 @@ void Planner::run_round(const Goal& goal, const Options& opts,
       // concretization can never demote this sequence's providers.
       copts.stats->last_mismatch_reg = Reg::NONE;
       auto chain = payload::concretize(ctx_, lib_, img_, seq, goal, copts);
-      if (!chain && opts.debug_conc &&
-          stats_.concretize_calls <= 3) {
-        fprintf(stderr, "--- failed sequence (%zu gadgets) ---\n", seq.size());
-        for (const u32 gi : seq) {
-          const Record& g = lib_[gi];
-          fprintf(stderr, "g[%u] addr=%llx end=%s n=%d\n", gi,
-                  (unsigned long long)g.addr, end_kind_name(g.end), g.n_insts);
-          for (const auto& ps : g.path)
-            fprintf(stderr, "    %s\n", x86::to_string(ps.inst).c_str());
-        }
-      }
       if (chain) {
         ++stats_.validated;
         chains.push_back(std::move(*chain));

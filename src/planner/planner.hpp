@@ -71,11 +71,6 @@ struct Options {
   /// Expiry always returns the best-so-far chains, never throws.
   Governor* governor = nullptr;
   payload::ConcretizeOptions concretize;
-  /// Search/concretization failure tracing to stderr. Resolved once from
-  /// the gp::Config snapshot (GP_DEBUG_PLAN / GP_DEBUG_CONC) instead of a
-  /// per-iteration getenv in the expansion loop.
-  bool debug_plan = config().debug_plan;
-  bool debug_conc = config().debug_conc;
   // Ablation switches (the paper's thesis: baselines lack these).
   bool use_cond_gadgets = true;    // CDJ/CIJ paths
   bool use_indirect_gadgets = true;
@@ -148,7 +143,7 @@ struct Stats {
   /// before the budget ran out.
   u64 failure_budget_cuts = 0;
   /// Wall seconds the reachability precheck took (the "fail in
-  /// milliseconds, not minutes" budget; plan.unreachable_ms in metrics).
+  /// milliseconds, not minutes" budget; plan.unreachable_us in metrics).
   double precheck_seconds = 0;
   /// Ok for an uncut search; otherwise the first degradation reason.
   Status status;

@@ -50,6 +50,11 @@ struct Stats {
   }
 };
 
+/// The pair-test budget every pipeline session runs minimize() under. It is
+/// part of the subsume stage's store key, so a change here invalidates the
+/// minimized pools checkpointed under the old budget.
+inline constexpr u64 kDefaultMaxSolverChecks = 20'000;
+
 /// Returns the minimized pool. `stats` (optional) receives counters.
 ///
 /// `threads`: 0 = the GP_THREADS env knob, 1 = the exact sequential path.
@@ -68,7 +73,8 @@ struct Stats {
 std::vector<gadget::Record> minimize(solver::Context& ctx,
                                      std::vector<gadget::Record> pool,
                                      Stats* stats = nullptr,
-                                     u64 max_solver_checks = 20'000,
+                                     u64 max_solver_checks =
+                                         kDefaultMaxSolverChecks,
                                      int threads = 0,
                                      Governor* governor = nullptr);
 

@@ -85,7 +85,7 @@ void configure(const Spec& spec);
 void disable();
 /// Load GP_FAULT from the environment if set; malformed specs fail fast
 /// with gp::Error (a chaos run must not silently run un-chaosed). Called
-/// once by core::GadgetPlanner; safe to call repeatedly.
+/// by every core::Engine and core::Session; safe to call repeatedly.
 void configure_from_env();
 
 /// Is any fault point active? Single relaxed load.

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "gadget/gadget.hpp"
 #include "minic/minic.hpp"
@@ -262,9 +262,9 @@ TEST(Parallel, MinimizeObservesCancellation) {
 }
 
 // The multi-tenant contract: N concurrent Sessions over distinct images on
-// one Engine produce byte-identical chains to N sequential GadgetPlanner
-// (facade) runs. Counted caps only — a wall-clock budget would make the
-// cut timing-dependent and the comparison meaningless.
+// one Engine produce byte-identical chains to N sequential, eagerly
+// prepared Session runs. Counted caps only — a wall-clock budget would make
+// the cut timing-dependent and the comparison meaningless.
 TEST(Parallel, ConcurrentSessionsMatchSequentialFacade) {
   const char* names[] = {"bubble_sort", "gcd_lcm", "bit_tricks"};
   std::vector<image::Image> imgs;
@@ -277,11 +277,12 @@ TEST(Parallel, ConcurrentSessionsMatchSequentialFacade) {
   popts.plan.max_chains = 2;
   const auto goal = payload::Goal::execve();
 
-  // Sequential reference: the facade, one image at a time.
+  // Sequential reference: one image at a time, pool stages run up front.
   std::vector<std::vector<std::vector<u8>>> ref;
   for (const auto& img : imgs) {
-    core::GadgetPlanner gp(img, popts);
-    ref.push_back(payload::encode_chains(gp.find_chains(goal)));
+    core::Session session(core::Engine::shared(), img, popts);
+    session.prepare();
+    ref.push_back(payload::encode_chains(session.find_chains(goal)));
   }
 
   // All sessions at once against the shared engine.

@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "corpus/corpus.hpp"
 #include "lift/lift.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "x86/decoder.hpp"
@@ -392,6 +393,46 @@ const image::Image& corpus_image() {
   return img;
 }
 
+TEST(GovernorDegradation, NodeBudgetOutMidMergeKeepsScanAccountingExact) {
+  // The sharded scan draws the node budget twice: in the shard contexts
+  // while scanning, and in the main context while the shards' records are
+  // imported. A budget that covers the scan but not the merge runs out in
+  // the first shard's import; the later shards' scan accounting must still
+  // be folded in.
+  const image::Image& img = corpus_image();
+  ExtractOptions opts;
+  opts.threads = 4;  // the sharded path, whatever GP_THREADS says
+
+  // The scan's own node cost: the shards draw on the governor, the main
+  // context (no governor) does not.
+  GovernorOptions meter_opts;
+  meter_opts.max_expr_nodes = u64{1} << 62;
+  Governor meter(meter_opts);
+  opts.governor = &meter;
+  solver::Context full_ctx;
+  Extractor full_ex(full_ctx, img);
+  const size_t full_pool = full_ex.extract(opts).size();
+  ASSERT_EQ(full_ex.stats().offsets_scanned, img.code().size());
+  const u64 scan_nodes = meter.expr_nodes().used();
+
+  GovernorOptions gopts;
+  gopts.max_expr_nodes = scan_nodes + 16;
+  Governor gov(gopts);
+  opts.governor = &gov;
+  solver::Context ctx;
+  Extractor ex(ctx, img);
+  ctx.set_governor(&gov);  // from here on, only the merge interns in ctx
+  const auto pool = ex.extract(opts);
+  ctx.set_governor(nullptr);
+
+  const auto& st = ex.stats();
+  EXPECT_EQ(st.status.code(), StatusCode::BudgetExhausted);
+  EXPECT_EQ(st.offsets_skipped, 0u);  // the scan itself ran to the end
+  EXPECT_EQ(st.offsets_scanned + st.offsets_skipped, img.code().size());
+  EXPECT_GE(st.paths_cut, 1u);
+  EXPECT_LT(pool.size(), full_pool);
+}
+
 TEST(PipelineUnderFault, DegradesWithoutCrashingAndChainsStayValid) {
   const image::Image& img = corpus_image();
   for (const u64 seed : {11ull, 22ull, 33ull}) {
@@ -411,15 +452,16 @@ TEST(PipelineUnderFault, DegradesWithoutCrashingAndChainsStayValid) {
     popts.plan.restarts = 2;
     popts.plan.max_chains = 2;
 
-    core::GadgetPlanner gp(img, popts);
+    core::Session session(core::Engine::shared(), img, popts);
+    session.prepare();
     // Degradation is a Status, never a crash: whatever was cut is recorded
     // as a known (non-Internal) code.
-    EXPECT_NE(gp.report().extract_status.code(), StatusCode::Internal);
-    EXPECT_NE(gp.report().subsume_status.code(), StatusCode::Internal);
-    const auto& es = gp.extract_stats();
+    EXPECT_NE(session.report().extract_status.code(), StatusCode::Internal);
+    EXPECT_NE(session.report().subsume_status.code(), StatusCode::Internal);
+    const auto& es = session.extract_stats();
     EXPECT_EQ(es.offsets_scanned + es.offsets_skipped, img.code().size());
 
-    auto chains = gp.find_chains(Goal::execve());
+    auto chains = session.find_chains(Goal::execve());
     fault::disable();
     for (const auto& c : chains) {
       EXPECT_TRUE(payload::validate(img, c, Goal::execve(),
@@ -434,14 +476,16 @@ TEST(PipelineUnderFault, TinyDeadlineStillBuildsAPipeline) {
   const image::Image& img = corpus_image();
   core::PipelineOptions popts;
   popts.governor.deadline_seconds = 1e-4;
-  core::GadgetPlanner gp(img, popts);
-  const auto& es = gp.extract_stats();
+  core::Session session(core::Engine::shared(), img, popts);
+  session.prepare();
+  const auto& es = session.extract_stats();
   EXPECT_EQ(es.offsets_scanned + es.offsets_skipped, img.code().size());
   EXPECT_GT(es.offsets_skipped, 0u);
-  EXPECT_EQ(gp.report().extract_status.code(), StatusCode::DeadlineExceeded);
+  EXPECT_EQ(session.report().extract_status.code(),
+            StatusCode::DeadlineExceeded);
   // The (possibly empty) library is still usable; planning returns fast
   // with best-so-far (= no) chains instead of hanging.
-  auto chains = gp.find_chains(Goal::execve());
+  auto chains = session.find_chains(Goal::execve());
   EXPECT_TRUE(chains.empty());
 }
 

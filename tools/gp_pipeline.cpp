@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
 #include "support/config.hpp"
@@ -258,14 +258,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::GadgetPlanner gp(img);
+  core::Session session(core::Engine::shared(), img);
+  session.prepare();
   std::printf("pool: %llu raw -> %llu minimized\n",
-              (unsigned long long)gp.report().pool_raw,
-              (unsigned long long)gp.report().pool_minimized);
+              (unsigned long long)session.report().pool_raw,
+              (unsigned long long)session.report().pool_minimized);
 
   int exit_code = 0;
   for (const auto& goal : goals) {
-    const auto chains = gp.find_chains(goal);
+    const auto chains = session.find_chains(goal);
     std::printf("%s: %zu chains\n", goal.name.c_str(), chains.size());
     if (chains.empty()) exit_code = 1;
     if (out_dir.empty()) continue;
@@ -282,7 +283,7 @@ int main(int argc, char** argv) {
   }
 
   if (want_report) {
-    const auto& r = gp.report();
+    const auto& r = session.report();
     std::printf("stage report:\n");
     print_runs("extract", r.extract_runs, r.extract_status, r.extract_seconds);
     print_runs("subsume", r.subsume_runs, r.subsume_status, r.subsume_seconds);
