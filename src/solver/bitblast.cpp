@@ -14,6 +14,22 @@ bool BitBlaster::is_const_lit(Lit l, bool* out) const {
   return false;
 }
 
+BitBlaster::GateSlot& BitBlaster::gate_slot(u64 key) {
+  const size_t mask = gates_.size() - 1;
+  u64 h = key * 0x9e3779b97f4a7c15ULL;
+  for (size_t i = (h ^ (h >> 32)) & mask;; i = (i + 1) & mask)
+    if (gates_[i].key == key || gates_[i].key == 0) return gates_[i];
+}
+
+void BitBlaster::add_gate(GateSlot& slot, u64 key, Lit out) {
+  slot = {key, out};
+  if (++num_gates_ * 2 <= gates_.size()) return;
+  std::vector<GateSlot> old(gates_.size() * 2);
+  old.swap(gates_);
+  for (const GateSlot& g : old)
+    if (g.key != 0) gate_slot(g.key) = g;
+}
+
 Lit BitBlaster::mk_and(Lit a, Lit b) {
   bool ca, cb;
   if (is_const_lit(a, &ca)) return ca ? b : false_lit();
@@ -22,13 +38,13 @@ Lit BitBlaster::mk_and(Lit a, Lit b) {
   if (a == ~b) return false_lit();
   if (a.code > b.code) std::swap(a, b);
   const u64 key = (u64{1} << 62) | (u64{a.code} << 31) | b.code;
-  auto it = gates_.find(key);
-  if (it != gates_.end()) return it->second;
+  GateSlot& slot = gate_slot(key);
+  if (slot.key == key) return slot.out;
   const Lit o = Lit::pos(sat_.new_var());
   sat_.add_clause({~o, a});
   sat_.add_clause({~o, b});
   sat_.add_clause({o, ~a, ~b});
-  gates_.emplace(key, o);
+  add_gate(slot, key, o);
   return o;
 }
 
@@ -42,14 +58,14 @@ Lit BitBlaster::mk_xor(Lit a, Lit b) {
   if (a == ~b) return true_lit_;
   if (a.code > b.code) std::swap(a, b);
   const u64 key = (u64{2} << 62) | (u64{a.code} << 31) | b.code;
-  auto it = gates_.find(key);
-  if (it != gates_.end()) return it->second;
+  GateSlot& slot = gate_slot(key);
+  if (slot.key == key) return slot.out;
   const Lit o = Lit::pos(sat_.new_var());
   sat_.add_clause({~o, a, b});
   sat_.add_clause({~o, ~a, ~b});
   sat_.add_clause({o, ~a, b});
   sat_.add_clause({o, a, ~b});
-  gates_.emplace(key, o);
+  add_gate(slot, key, o);
   return o;
 }
 

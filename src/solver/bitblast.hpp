@@ -31,6 +31,7 @@ class BitBlaster {
   /// After Sat: concrete value of any expression under the model.
   u64 model_value(ExprRef e);
 
+  u32 num_vars() const { return sat_.num_vars(); }
   size_t num_clauses() const { return sat_.num_clauses(); }
   u64 num_conflicts() const { return sat_.num_conflicts(); }
 
@@ -51,12 +52,24 @@ class BitBlaster {
   Bits add_bits(const Bits& a, const Bits& b, Lit carry_in);
   Lit ult_bits(const Bits& a, const Bits& b);
 
+  // Gate cache: key (op << 62 | a.code << 31 | b.code) -> output literal,
+  // linear probing over a power-of-two table kept at most half full. Key 0
+  // marks an empty slot (op is never 0).
+  struct GateSlot {
+    u64 key = 0;
+    Lit out;
+  };
+  /// The slot holding `key`, or the empty slot where it belongs.
+  GateSlot& gate_slot(u64 key);
+  /// Fill the empty slot gate_slot(key) returned.
+  void add_gate(GateSlot& slot, u64 key, Lit out);
+
   Context& ctx_;
   Sat sat_;
   Lit true_lit_{0};
   std::unordered_map<ExprRef, Bits> cache_;
-  // Gate cache: (op, a.code, b.code) -> output literal.
-  std::unordered_map<u64, Lit> gates_;
+  std::vector<GateSlot> gates_ = std::vector<GateSlot>(1024);
+  size_t num_gates_ = 0;
 };
 
 }  // namespace gp::solver

@@ -23,35 +23,67 @@ bool commutative(Op op) {
 
 u64 all_ones(u8 width) { return truncate(~u64{0}, width); }
 
-}  // namespace
-
-size_t Context::NodeHash::operator()(const Node& n) const {
-  size_t h = static_cast<size_t>(n.op) * 0x9e3779b97f4a7c15ULL;
-  auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+u64 node_hash(const Node& n) {
+  auto mix = [](u64 h, u64 v) {
+    h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+    return h ^ (h >> 32);
   };
-  mix(n.width);
-  mix(n.aux);
-  mix(n.a);
-  mix(n.b);
-  mix(n.c);
-  mix(n.cval);
-  return h;
+  u64 h = mix(0, static_cast<u64>(n.op) | u64{n.width} << 8 |
+                     u64{n.aux} << 16 | u64{n.a} << 32);
+  h = mix(h, u64{n.b} | u64{n.c} << 32);
+  h = mix(h, n.cval);
+  // murmur3's fmix64: every input bit reaches both slot index and tag.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
 }
 
-bool Context::NodeEq::operator()(const Node& x, const Node& y) const {
+/// The ref a hash-cons slot holds (see Context::slots_).
+ExprRef slot_ref(u64 slot) {
+  return static_cast<ExprRef>((slot & 0xffffffff) - 1);
+}
+
+bool same_node(const Node& x, const Node& y) {
   return x.op == y.op && x.width == y.width && x.aux == y.aux && x.a == y.a &&
          x.b == y.b && x.c == y.c && x.cval == y.cval;
 }
+
+}  // namespace
 
 Context::Context() {
   false_ = constant(0, 1);
   true_ = constant(1, 1);
 }
 
+size_t Context::find_slot(const Node& n, u64 hash) const {
+  const size_t mask = slots_.size() - 1;
+  const u64 tag = hash >> 32;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const u64 slot = slots_[i];
+    if (slot == 0) return i;
+    if (slot >> 32 == tag && same_node(nodes_[slot_ref(slot)], n))
+      return i;
+  }
+}
+
+void Context::grow_slots() {
+  std::vector<u64> old(slots_.size() * 2);
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  for (const u64 slot : old) {
+    if (slot == 0) continue;
+    size_t i = node_hash(nodes_[slot_ref(slot)]) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 ExprRef Context::intern(Node n) {
-  auto it = interned_.find(n);
-  if (it != interned_.end()) return it->second;
+  const u64 hash = node_hash(n);
+  const size_t i = find_slot(n, hash);
+  if (slots_[i] != 0) return slot_ref(slots_[i]);
   // Only genuinely fresh nodes count against the governor's node budget (a
   // hash-cons hit allocates nothing); exhaustion surfaces as a
   // ResourceExhausted unwound to the nearest stage boundary.
@@ -65,8 +97,10 @@ ExprRef Context::intern(Node n) {
       metrics::registry().counter("expr.interned");
   interned.add();
   const auto ref = static_cast<ExprRef>(nodes_.size());
+  GP_CHECK(ref < kNoExpr, "expression refs exhausted");
   nodes_.push_back(n);
-  interned_.emplace(n, ref);
+  slots_[i] = (hash >> 32 << 32) | (u64{ref} + 1);
+  if (nodes_.size() * 2 > slots_.size()) grow_slots();
   return ref;
 }
 

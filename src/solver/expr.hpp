@@ -142,17 +142,16 @@ class Context {
  private:
   ExprRef intern(Node n);
   ExprRef binary(Op op, ExprRef a, ExprRef b);
-
-  struct NodeHash {
-    size_t operator()(const Node& n) const;
-  };
-  struct NodeEq {
-    bool operator()(const Node& x, const Node& y) const;
-  };
+  /// The slot of slots_ holding n's ref, or the empty slot where it belongs.
+  size_t find_slot(const Node& n, u64 hash) const;
+  void grow_slots();
 
   Governor* governor_ = nullptr;
   std::vector<Node> nodes_;
-  std::unordered_map<Node, ExprRef, NodeHash, NodeEq> interned_;
+  // Hash-cons table over nodes_: linear probing in a power-of-two table
+  // kept at most half full. A slot is (high 32 bits of the node hash << 32)
+  // | (ref + 1); 0 marks an empty slot.
+  std::vector<u64> slots_ = std::vector<u64>(256);
   std::vector<std::string> var_names_;
   std::unordered_map<std::string, ExprRef> vars_by_name_;
   ExprRef true_ = kNoExpr, false_ = kNoExpr;

@@ -15,46 +15,57 @@ u32 Sat::new_var() {
   polarity_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
+  heap_pos_.push_back(kNotInHeap);
+  heap_insert(v);
   return v;
 }
 
-bool Sat::add_clause(std::vector<Lit> lits) {
+bool Sat::add_clause(std::span<const Lit> lits) {
   if (unsat_) return false;
   GP_CHECK(trail_lim_.empty(), "add_clause only at decision level 0");
 
   // Deduplicate; drop clauses containing both l and ~l (tautology) or
-  // literals already false at level 0.
-  std::sort(lits.begin(), lits.end(),
+  // literals already false at level 0. Survivors are compacted to the
+  // front of scratch_; position n never overtakes the i-1/i+1 reads.
+  scratch_.assign(lits.begin(), lits.end());
+  std::sort(scratch_.begin(), scratch_.end(),
             [](Lit a, Lit b) { return a.code < b.code; });
-  std::vector<Lit> out;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    if (i + 1 < lits.size() && lits[i + 1].code == (lits[i].code ^ 1))
+  size_t n = 0;
+  for (size_t i = 0; i < scratch_.size(); ++i) {
+    const Lit l = scratch_[i];
+    if (i + 1 < scratch_.size() && scratch_[i + 1].code == (l.code ^ 1))
       return true;  // tautology
-    if (i > 0 && lits[i] == lits[i - 1]) continue;
-    const i8 v = value(lits[i]);
+    if (i > 0 && l == scratch_[i - 1]) continue;
+    const i8 v = value(l);
     if (v == 1) return true;  // already satisfied at level 0
     if (v == 0) continue;     // already false: drop literal
-    out.push_back(lits[i]);
+    scratch_[n++] = l;
   }
 
-  if (out.empty()) {
+  if (n == 0) {
     unsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], kNoReason);
+  if (n == 1) {
+    enqueue(scratch_[0], kNoReason);
     if (propagate() != kNoReason) {
       unsat_ = true;
       return false;
     }
     return true;
   }
-
-  const u32 idx = static_cast<u32>(clauses_.size());
-  watches_[(~out[0]).code].push_back({idx, out[1]});
-  watches_[(~out[1]).code].push_back({idx, out[0]});
-  clauses_.push_back({std::move(out), false});
+  attach(std::span<const Lit>(scratch_.data(), n));
   return true;
+}
+
+u32 Sat::attach(std::span<const Lit> lits) {
+  const u32 idx = static_cast<u32>(clauses_.size());
+  clauses_.push_back({static_cast<u32>(lits_.size()),
+                      static_cast<u32>(lits.size())});
+  lits_.insert(lits_.end(), lits.begin(), lits.end());
+  watches_[(~lits[0]).code].push_back({idx, lits[1]});
+  watches_[(~lits[1]).code].push_back({idx, lits[0]});
+  return idx;
 }
 
 void Sat::enqueue(Lit l, u32 reason) {
@@ -76,19 +87,20 @@ u32 Sat::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      Lit* c = lits(w.clause);
+      const u32 size = clauses_[w.clause].size;
       // Ensure the false literal (~p) is at position 1.
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      if (value(c.lits[0]) == 1) {
-        ws[keep++] = {w.clause, c.lits[0]};
+      if (c[0] == ~p) std::swap(c[0], c[1]);
+      if (value(c[0]) == 1) {
+        ws[keep++] = {w.clause, c[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code].push_back({w.clause, c.lits[0]});
+      for (u32 k = 2; k < size; ++k) {
+        if (value(c[k]) != 0) {
+          std::swap(c[1], c[k]);
+          watches_[(~c[1]).code].push_back({w.clause, c[0]});
           moved = true;
           break;
         }
@@ -96,14 +108,14 @@ u32 Sat::propagate() {
       if (moved) continue;
       // Unit or conflict.
       ws[keep++] = w;
-      if (value(c.lits[0]) == 0) {
+      if (value(c[0]) == 0) {
         // Conflict: copy the remaining watches and report.
         for (size_t j = i + 1; j < ws.size(); ++j) ws[keep++] = ws[j];
         ws.resize(keep);
         qhead_ = trail_.size();
         return w.clause;
       }
-      enqueue(c.lits[0], w.clause);
+      enqueue(c[0], w.clause);
     }
     ws.resize(keep);
   }
@@ -112,9 +124,13 @@ u32 Sat::propagate() {
 
 void Sat::bump(u32 v) {
   activity_[v] += activity_inc_;
+  if (heap_pos_[v] != kNotInHeap) sift_up(heap_pos_[v]);
   if (activity_[v] > 1e100) {
     for (auto& a : activity_) a *= 1e-100;
     activity_inc_ *= 1e-100;
+    // Scaling keeps the order but can round distinct activities into
+    // ties, which the index tie-break may order the other way: re-heapify.
+    for (u32 i = static_cast<u32>(heap_.size() / 2); i-- > 0;) sift_down(i);
   }
 }
 
@@ -130,9 +146,10 @@ void Sat::analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level) {
   const u32 cur_level = static_cast<u32>(trail_lim_.size());
 
   for (;;) {
-    const Clause& c = clauses_[confl];
-    for (size_t j = first ? 0 : 1; j < c.lits.size(); ++j) {
-      const Lit q = c.lits[j];
+    const Lit* c = lits(confl);
+    const u32 size = clauses_[confl].size;
+    for (u32 j = first ? 0 : 1; j < size; ++j) {
+      const Lit q = c[j];
       if (!seen_[q.var()] && level_[q.var()] > 0) {
         seen_[q.var()] = 1;
         bump(q.var());
@@ -178,23 +195,66 @@ void Sat::backtrack(u32 target) {
     polarity_[v] = static_cast<u8>(assign_[v]);
     assign_[v] = 2;
     reason_[v] = kNoReason;
+    heap_insert(v);
   }
   trail_.resize(bound);
   trail_lim_.resize(target);
   qhead_ = bound;
 }
 
+void Sat::heap_insert(u32 v) {
+  if (heap_pos_[v] != kNotInHeap) return;
+  heap_pos_[v] = static_cast<u32>(heap_.size());
+  heap_.push_back(v);
+  sift_up(heap_pos_[v]);
+}
+
+void Sat::sift_up(u32 pos) {
+  const u32 v = heap_[pos];
+  while (pos > 0) {
+    const u32 parent = (pos - 1) / 2;
+    if (!before(v, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[heap_[pos]] = pos;
+    pos = parent;
+  }
+  heap_[pos] = v;
+  heap_pos_[v] = pos;
+}
+
+void Sat::sift_down(u32 pos) {
+  const u32 v = heap_[pos];
+  const u32 n = static_cast<u32>(heap_.size());
+  for (;;) {
+    u32 child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], v)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[heap_[pos]] = pos;
+    pos = child;
+  }
+  heap_[pos] = v;
+  heap_pos_[v] = pos;
+}
+
 Lit Sat::decide() {
-  u32 best = kNoReason;
-  double best_act = -1.0;
-  for (u32 v = 0; v < assign_.size(); ++v) {
-    if (assign_[v] == 2 && activity_[v] > best_act) {
-      best_act = activity_[v];
-      best = v;
+  // Pop assigned variables off the top until an unassigned one surfaces:
+  // the maximum of the heap's order over the unassigned variables.
+  while (!heap_.empty()) {
+    const u32 best = heap_[0];
+    if (assign_[best] == 2)
+      return polarity_[best] ? Lit::pos(best) : Lit::neg(best);
+    heap_pos_[best] = kNotInHeap;
+    const u32 last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_[0] = last;
+      heap_pos_[last] = 0;
+      sift_down(0);
     }
   }
-  if (best == kNoReason) return {kNoReason};
-  return polarity_[best] ? Lit::pos(best) : Lit::neg(best);
+  return {kNoReason};
 }
 
 SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {
@@ -221,20 +281,14 @@ SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {
         return SatResult::Unknown;
       if (trail_lim_.empty()) return SatResult::Unsat;
 
-      std::vector<Lit> learnt;
       u32 bt_level = 0;
-      analyze(confl, learnt, bt_level);
+      analyze(confl, learnt_, bt_level);
       backtrack(bt_level);
 
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kNoReason);
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kNoReason);
       } else {
-        const u32 idx = static_cast<u32>(clauses_.size());
-        watches_[(~learnt[0]).code].push_back({idx, learnt[1]});
-        watches_[(~learnt[1]).code].push_back({idx, learnt[0]});
-        const Lit assert_lit = learnt[0];
-        clauses_.push_back({std::move(learnt), true});
-        enqueue(assert_lit, idx);
+        enqueue(learnt_[0], attach(learnt_));
       }
       decay();
     } else {

@@ -2,8 +2,15 @@
 // learning, VSIDS-style activity, geometric restarts. This is the decision
 // core underneath the bit-blaster (the role Z3's SAT engine plays for the
 // paper's constraint queries).
+//
+// Decisions come from a binary max-heap over variable activity (highest
+// activity, then lowest index), the same total order a linear scan over all
+// variables would pick from, so models and conflict counts do not depend on
+// the data structure. Clause literals live in one arena.
 #pragma once
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "support/common.hpp"
@@ -32,7 +39,10 @@ class Sat {
 
   /// Add a clause (disjunction). An empty clause makes the instance
   /// trivially UNSAT. Returns false if the formula is already known UNSAT.
-  bool add_clause(std::vector<Lit> lits);
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Solve. `conflict_budget` < 0 means unlimited. When a governor is
   /// given, the propagation/decision loop polls its deadline and cancel
@@ -52,10 +62,12 @@ class Sat {
 
  private:
   static constexpr u32 kNoReason = 0xffffffff;
+  static constexpr u32 kNotInHeap = 0xffffffff;
 
+  /// A clause is lits_[start, start + size); the first two are watched.
   struct Clause {
-    std::vector<Lit> lits;
-    bool learned = false;
+    u32 start;
+    u32 size;
   };
   struct Watch {
     u32 clause;
@@ -68,6 +80,9 @@ class Sat {
     if (a == 2) return 2;
     return static_cast<i8>(a ^ static_cast<i8>(l.sign()));
   }
+  Lit* lits(u32 clause) { return lits_.data() + clauses_[clause].start; }
+  /// Store a clause of >= 2 literals and watch its first two.
+  u32 attach(std::span<const Lit> lits);
   void enqueue(Lit l, u32 reason);
   u32 propagate();  // returns conflicting clause index or kNoReason
   void analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level);
@@ -76,7 +91,20 @@ class Sat {
   void bump(u32 v);
   void decay();
 
+  // Decision heap: heap_[0] is the variable decide() would pick. Every
+  // unassigned variable is in the heap; assigned ones leave it lazily.
+  bool before(u32 a, u32 b) const {
+    return activity_[a] > activity_[b] ||
+           (activity_[a] == activity_[b] && a < b);
+  }
+  void heap_insert(u32 v);
+  void sift_up(u32 pos);
+  void sift_down(u32 pos);
+
   std::vector<Clause> clauses_;
+  std::vector<Lit> lits_;
+  std::vector<Lit> scratch_;  // add_clause's filter buffer
+  std::vector<Lit> learnt_;   // analyze()'s output, reused per conflict
   std::vector<std::vector<Watch>> watches_;  // indexed by Lit.code
   std::vector<i8> assign_;
   std::vector<u32> level_;
@@ -86,6 +114,8 @@ class Sat {
   size_t qhead_ = 0;
   std::vector<double> activity_;
   double activity_inc_ = 1.0;
+  std::vector<u32> heap_;
+  std::vector<u32> heap_pos_;  // index into heap_, or kNotInHeap
   std::vector<u8> seen_;
   std::vector<u8> polarity_;  // phase saving
   u64 conflicts_ = 0;

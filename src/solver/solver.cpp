@@ -1,22 +1,13 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 
 namespace gp::solver {
 namespace {
-
-u64 key_of(const std::vector<ExprRef>& constraints) {
-  std::vector<ExprRef> sorted(constraints);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  u64 h = 0x243f6a8885a308d3ULL;
-  for (const ExprRef e : sorted)
-    h ^= e + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
 
 /// Process-wide rollup alongside the per-Solver counters: one relaxed add
 /// per outcome, visible in campaign summaries and --report.
@@ -33,9 +24,44 @@ void count_outcome(SatResult r) {
   }
 }
 
+/// Size and cost (bit-blast plus solve, in µs) of one check that reached
+/// the SAT core.
+void observe_check(const BitBlaster& bb,
+                   std::chrono::steady_clock::time_point start) {
+  static metrics::Histogram& vars =
+      metrics::registry().histogram("solver.check_vars");
+  static metrics::Histogram& clauses =
+      metrics::registry().histogram("solver.check_clauses");
+  static metrics::Histogram& conflicts =
+      metrics::registry().histogram("solver.check_conflicts");
+  static metrics::Histogram& us =
+      metrics::registry().histogram("solver.check_us");
+  vars.observe(bb.num_vars());
+  clauses.observe(bb.num_clauses());
+  conflicts.observe(bb.num_conflicts());
+  us.observe(static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+}
+
 }  // namespace
 
-SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
+size_t Solver::KeyHash::operator()(const Key& k) const {
+  u64 h = 0x243f6a8885a308d3ULL;
+  for (const ExprRef e : k)
+    h ^= e + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  return h;
+}
+
+Solver::Key Solver::key_of(const std::vector<ExprRef>& constraints) {
+  Key key(constraints);
+  std::sort(key.begin(), key.end());
+  key.erase(std::unique(key.begin(), key.end()), key.end());
+  return key;
+}
+
+SatResult Solver::check_impl(const std::vector<ExprRef>& constraints, Key key,
                              std::optional<Model>* model) {
   ++queries_;
   {
@@ -50,7 +76,7 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   for (const ExprRef c : constraints) {
     GP_CHECK(ctx_.width(c) == 1, "constraint must be width 1");
     if (ctx_.is_const(c, 0)) {
-      memo_[key_of(constraints)] = Memo::Unsat;
+      memo_[std::move(key)] = Memo::Unsat;
       count_outcome(SatResult::Unsat);
       return SatResult::Unsat;
     }
@@ -78,6 +104,7 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   if (fault::enabled() && fault::should_fire(fault::Point::Solver))
     return unknown();
 
+  const auto start = std::chrono::steady_clock::now();
   BitBlaster bb(ctx_);
   std::vector<ExprRef> vars;
   for (const ExprRef c : constraints) {
@@ -91,9 +118,10 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   for (const ExprRef v : vars) (void)bb.model_value(v);
 
   const SatResult r = bb.solve(conflict_budget_, governor_);
+  observe_check(bb, start);
   if (r == SatResult::Unknown) return unknown();
   count_outcome(r);
-  memo_[key_of(constraints)] = r == SatResult::Sat ? Memo::Sat : Memo::Unsat;
+  memo_[std::move(key)] = r == SatResult::Sat ? Memo::Sat : Memo::Unsat;
   if (r == SatResult::Sat && model) {
     Model m;
     for (const ExprRef v : vars) m[v] = bb.model_value(v);
@@ -105,12 +133,12 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
 std::optional<Model> Solver::check_sat(
     const std::vector<ExprRef>& constraints) {
   std::optional<Model> model;
-  check_impl(constraints, &model);
+  check_impl(constraints, key_of(constraints), &model);
   return model;
 }
 
 SatResult Solver::check(const std::vector<ExprRef>& constraints) {
-  const u64 key = key_of(constraints);
+  Key key = key_of(constraints);
   auto it = memo_.find(key);
   if (it != memo_.end()) {
     ++cache_hits_;
@@ -120,7 +148,7 @@ SatResult Solver::check(const std::vector<ExprRef>& constraints) {
     last_unknown_ = false;
     return it->second == Memo::Sat ? SatResult::Sat : SatResult::Unsat;
   }
-  return check_impl(constraints, nullptr);
+  return check_impl(constraints, std::move(key), nullptr);
 }
 
 bool Solver::is_sat(const std::vector<ExprRef>& constraints) {

@@ -1,7 +1,7 @@
 // Query facade over the expression DAG + bit-blaster: satisfiability with
 // model extraction, validity, equivalence and implication checks. One
 // BitBlaster (and SAT instance) is built per query; gadget-sized formulas
-// keep these small. Results are memoized per (query kind, operand refs).
+// keep these small. Sat/Unsat results are memoized per constraint set.
 //
 // Three-valued soundness: a query can come back UNKNOWN (conflict budget,
 // governor deadline/cancel, solver-check budget, injected fault). UNKNOWN
@@ -72,17 +72,24 @@ class Solver {
 
  private:
   enum class Memo : u8 { Sat, Unsat };
+  /// Memo key: the constraint set itself, sorted and deduplicated, so two
+  /// queries share an entry exactly when they assert the same set.
+  using Key = std::vector<ExprRef>;
+  struct KeyHash {
+    size_t operator()(const Key& k) const;
+  };
+  static Key key_of(const std::vector<ExprRef>& constraints);
 
   /// Shared engine behind check()/check_sat(): runs the pre-checks,
-  /// budgets, fault point and bit-blasting; fills `model` only on Sat when
-  /// requested.
-  SatResult check_impl(const std::vector<ExprRef>& constraints,
+  /// budgets, fault point and bit-blasting; memoizes a Sat/Unsat answer
+  /// under `key`; fills `model` only on Sat when requested.
+  SatResult check_impl(const std::vector<ExprRef>& constraints, Key key,
                        std::optional<Model>* model);
 
   Context& ctx_;
   i64 conflict_budget_;
   Governor* governor_;
-  std::unordered_map<u64, Memo> memo_;
+  std::unordered_map<Key, Memo, KeyHash> memo_;
   u64 queries_ = 0;
   u64 cache_hits_ = 0;
   u64 unknowns_ = 0;

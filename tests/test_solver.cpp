@@ -250,6 +250,98 @@ TEST(SatCore, RandomAgainstBruteForce) {
   }
 }
 
+// Decision-order pins. The conflict counts and models below were recorded
+// with the original decide(), a linear scan for the highest-activity
+// unassigned variable (lowest index on ties). Every model the bit-blaster
+// hands the planner depends on that order, so any change to decisions,
+// activity bookkeeping or clause layout has to reproduce these exactly.
+struct Cnf {
+  u32 vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+Cnf pigeonhole(u32 pigeons, u32 holes) {
+  Cnf f;
+  f.vars = pigeons * holes;
+  auto v = [holes](u32 p, u32 h) { return p * holes + h; };
+  for (u32 p = 0; p < pigeons; ++p) {
+    std::vector<Lit> c;
+    for (u32 h = 0; h < holes; ++h) c.push_back(Lit::pos(v(p, h)));
+    f.clauses.push_back(c);
+  }
+  for (u32 h = 0; h < holes; ++h)
+    for (u32 p1 = 0; p1 < pigeons; ++p1)
+      for (u32 p2 = p1 + 1; p2 < pigeons; ++p2)
+        f.clauses.push_back({Lit::neg(v(p1, h)), Lit::neg(v(p2, h))});
+  return f;
+}
+
+/// Uniform random 3-SAT: three distinct variables per clause.
+Cnf random_3sat(u64 seed, u32 vars, u32 clauses) {
+  Rng rng(seed);
+  Cnf f;
+  f.vars = vars;
+  for (u32 i = 0; i < clauses; ++i) {
+    std::vector<Lit> c;
+    while (c.size() < 3) {
+      const u32 v = static_cast<u32>(rng.below(vars));
+      bool dup = false;
+      for (const Lit l : c) dup = dup || l.var() == v;
+      if (!dup) c.push_back(rng.chance(0.5) ? Lit::pos(v) : Lit::neg(v));
+    }
+    f.clauses.push_back(c);
+  }
+  return f;
+}
+
+struct SatRun {
+  SatResult result = SatResult::Unknown;
+  u64 conflicts = 0;
+  std::string model;  // '0'/'1' per variable when Sat
+};
+
+SatRun run_cnf(const Cnf& f) {
+  Sat s;
+  for (u32 v = 0; v < f.vars; ++v) s.new_var();
+  for (const auto& c : f.clauses) s.add_clause(c);
+  SatRun r;
+  r.result = s.solve();
+  r.conflicts = s.num_conflicts();
+  if (r.result == SatResult::Sat)
+    for (u32 v = 0; v < f.vars; ++v) r.model += s.model_value(v) ? '1' : '0';
+  return r;
+}
+
+TEST(SatCore, DecisionOrderPinnedPigeonhole7Into6) {
+  const SatRun r = run_cnf(pigeonhole(7, 6));
+  EXPECT_EQ(r.result, SatResult::Unsat);
+  EXPECT_EQ(r.conflicts, 822u);
+}
+
+TEST(SatCore, DecisionOrderPinnedRandomSat) {
+  const Cnf f = random_3sat(0x5eed01, 200, 800);
+  const SatRun r = run_cnf(f);
+  ASSERT_EQ(r.result, SatResult::Sat);
+  // Past ~4,490 conflicts the activities are rescaled by 1e-100.
+  EXPECT_EQ(r.conflicts, 10553u);
+  EXPECT_EQ(r.model,
+            "0111011101100010110100001101000000011010100000000110111001111001"
+            "0011111111010001010100000110011010001000101100011010111101001111"
+            "0000011001101000001001101101111111001011100101010010111010110100"
+            "01110000");
+  for (const auto& c : f.clauses) {
+    bool any = false;
+    for (const Lit l : c) any = any || (r.model[l.var()] == '1') != l.sign();
+    EXPECT_TRUE(any);
+  }
+}
+
+TEST(SatCore, DecisionOrderPinnedRandomUnsat) {
+  const SatRun r = run_cnf(random_3sat(0x5eed02, 180, 820));
+  EXPECT_EQ(r.result, SatResult::Unsat);
+  EXPECT_EQ(r.conflicts, 5235u);
+}
+
 // ---------------------------------------------------------------------------
 // Bit-blasting solver
 // ---------------------------------------------------------------------------
@@ -352,6 +444,29 @@ TEST_F(SolverTest, MemoCacheHits) {
   const u64 before = solver.cache_hits();
   EXPECT_TRUE(solver.is_sat({q}));
   EXPECT_GT(solver.cache_hits(), before);
+}
+
+TEST_F(SolverTest, MemoKeysOnTheExactConstraintSet) {
+  ExprRef x = ctx.var("x", 64);
+  ExprRef a = ctx.ult(x, c(10));
+  ExprRef b = ctx.ult(c(5), x);
+  // Order and repetition do not matter: {a,b} and {b,a,a} share one entry.
+  EXPECT_EQ(solver.check({a, b}), SatResult::Sat);
+  EXPECT_EQ(solver.check({b, a, a}), SatResult::Sat);
+  EXPECT_EQ(solver.cache_hits(), 1u);
+  // Distinct sets never share one: each first query misses the memo, and
+  // each repeat hits its own entry and gets its own answer back.
+  std::vector<std::vector<ExprRef>> sets;
+  for (u64 k = 0; k < 40; ++k) {
+    sets.push_back({ctx.eq(x, c(k))});
+    sets.push_back({ctx.eq(x, c(k)), ctx.eq(x, c(k + 1))});
+  }
+  for (const auto& s : sets) (void)solver.check(s);
+  EXPECT_EQ(solver.cache_hits(), 1u);
+  for (const auto& s : sets)
+    EXPECT_EQ(solver.check(s),
+              s.size() == 1 ? SatResult::Sat : SatResult::Unsat);
+  EXPECT_EQ(solver.cache_hits(), 1u + sets.size());
 }
 
 /// Property: for random expression trees, solver-found models actually
