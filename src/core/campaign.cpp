@@ -281,6 +281,10 @@ std::string Campaign::Summary::to_json() const {
          std::to_string(r.subsume_stats.solver_checks) +
          ", \"subsume_structural_hits\": " +
          std::to_string(r.subsume_stats.structural_hits) +
+         ", \"subsume_solver_unknown\": " +
+         std::to_string(r.subsume_stats.solver_unknown) +
+         ", \"subsume_budget_exhausted\": " +
+         std::string(r.subsume_stats.budget_exhausted ? "1" : "0") +
          ", \"plan_expansions\": " +
          std::to_string(r.planner_stats.expansions) +
          ", \"plan_dead_ends\": " +

@@ -313,7 +313,7 @@ std::optional<Chain> concretize(solver::Context& ctx,
     constraints.push_back(ctx.bnot(fv));
   }
 
-  solver::Solver solver(ctx, /*conflict_budget=*/500'000, opts.governor);
+  solver::Solver solver(ctx, kConcretizeConflictBudget, opts.governor);
   const auto model = solver.check_sat(constraints);
   if (!model) {
     // An UNKNOWN answer (budget, deadline, injected fault) is a failure —

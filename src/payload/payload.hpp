@@ -87,6 +87,10 @@ struct ConcretizeStats {
   x86::Reg last_mismatch_reg = x86::Reg::NONE;
 };
 
+/// Conflict cap of the payload solve in concretize(). A composition query
+/// that needs more ends UNKNOWN (ConcretizeStats::solver_unknown).
+inline constexpr i64 kConcretizeConflictBudget = 500'000;
+
 struct ConcretizeOptions {
   u64 stack_base = image::kStackTop - 0x2000;  // rsp at hijack (ASLR off)
   size_t max_payload = 4096;

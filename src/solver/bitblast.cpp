@@ -1,5 +1,7 @@
 #include "solver/bitblast.hpp"
 
+#include <algorithm>
+
 namespace gp::solver {
 
 bool BitBlaster::is_const_lit(Lit l, bool* out) const {
@@ -95,6 +97,41 @@ BitBlaster::Bits BitBlaster::add_bits(const Bits& a, const Bits& b,
   return sum;
 }
 
+BitBlaster::Bits BitBlaster::mul_bits(const Bits& a, const Bits& b) {
+  GP_CHECK(a.size() == b.size(), "multiplier width mismatch");
+  const size_t w = a.size();
+  // Column k holds every partial product a[i] & b[j] with i + j == k, plus
+  // the carries out of column k - 1. Each column is reduced in Lit::code
+  // order, so the gates depend only on the operand bits (never on which
+  // operand is a) and the low k columns are exactly those of the k-bit
+  // product of the low k bits.
+  std::vector<Bits> cols(w);
+  const auto put = [&](size_t k, Lit l) {
+    if (l != false_lit()) cols[k].push_back(l);
+  };
+  for (size_t i = 0; i < w; ++i)
+    for (size_t j = 0; i + j < w; ++j) put(i + j, mk_and(a[i], b[j]));
+  Bits out(w, false_lit());
+  for (size_t k = 0; k < w; ++k) {
+    Bits& col = cols[k];
+    std::sort(col.begin(), col.end(),
+              [](Lit x, Lit y) { return x.code < y.code; });
+    // Queue reduction: the next three literals go through a full adder
+    // whose sum joins the back of this column and whose carry goes to the
+    // next one. A last pair gets a constant-false third input, which the
+    // gate constructors fold into a half adder.
+    for (size_t h = 0; h + 1 < col.size(); h += 3) {
+      const Lit x = col[h], y = col[h + 1];
+      const Lit z = h + 2 < col.size() ? col[h + 2] : false_lit();
+      const Lit xy = mk_xor(x, y);
+      col.push_back(mk_xor(xy, z));
+      if (k + 1 < w) put(k + 1, mk_or(mk_and(x, y), mk_and(xy, z)));
+    }
+    if (!col.empty()) out[k] = col.back();
+  }
+  return out;
+}
+
 Lit BitBlaster::ult_bits(const Bits& a, const Bits& b) {
   // a < b unsigned: iterate from MSB; at the first differing bit, a's bit is
   // 0 and b's is 1.
@@ -131,19 +168,9 @@ BitBlaster::Bits BitBlaster::blast(ExprRef e) {
       out = add_bits(a, Bits(w, false_lit()), true_lit_);
       break;
     }
-    case Op::Mul: {
-      const Bits a = blast(n.a);
-      const Bits b = blast(n.b);
-      Bits acc(w, false_lit());
-      for (u8 i = 0; i < w; ++i) {
-        // acc += (a << i) gated by b[i]
-        Bits addend(w, false_lit());
-        for (u8 j = i; j < w; ++j) addend[j] = mk_and(a[j - i], b[i]);
-        acc = add_bits(acc, addend, false_lit());
-      }
-      out = acc;
+    case Op::Mul:
+      out = mul_bits(blast(n.a), blast(n.b));
       break;
-    }
     case Op::And: {
       const Bits a = blast(n.a), b = blast(n.b);
       for (u8 i = 0; i < w; ++i) out[i] = mk_and(a[i], b[i]);

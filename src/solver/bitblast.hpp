@@ -1,6 +1,8 @@
 // Tseitin bit-blaster: lowers bit-vector expressions onto the CDCL SAT core.
-// Adders are ripple-carry, multipliers shift-and-add, variable shifts barrel
-// shifters; gate outputs are cached so shared DAG nodes encode once.
+// Adders are ripple-carry, variable shifts barrel shifters, multipliers
+// column (partial-product) compressors whose gates depend only on the
+// operand bits, so a*b and b*a, and a product and its truncation, share
+// gates. Gate outputs are cached so shared DAG nodes encode once.
 #pragma once
 
 #include <unordered_map>
@@ -50,6 +52,7 @@ class BitBlaster {
 
   Bits blast(ExprRef e);
   Bits add_bits(const Bits& a, const Bits& b, Lit carry_in);
+  Bits mul_bits(const Bits& a, const Bits& b);
   Lit ult_bits(const Bits& a, const Bits& b);
 
   // Gate cache: key (op << 62 | a.code << 31 | b.code) -> output literal,

@@ -55,6 +55,11 @@ struct Stats {
 /// minimized pools checkpointed under the old budget.
 inline constexpr u64 kDefaultMaxSolverChecks = 20'000;
 
+/// Conflict cap of the Solver each fingerprint bucket checks its pairs with.
+/// A pair query that needs more ends UNKNOWN and keeps both gadgets
+/// (Stats::solver_unknown).
+inline constexpr i64 kPairConflictBudget = 50'000;
+
 /// Returns the minimized pool. `stats` (optional) receives counters.
 ///
 /// `threads`: 0 = the GP_THREADS env knob, 1 = the exact sequential path.

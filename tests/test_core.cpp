@@ -207,6 +207,24 @@ TEST(Campaign, BatchSummaryAndJson) {
   EXPECT_NE(json.find("\"critical_path\""), std::string::npos);
   EXPECT_NE(json.find("\"goals\": {\"execve\""), std::string::npos);
   EXPECT_NE(json.find("\"start_seconds\""), std::string::npos);
+  // Subsumption outcomes are per-job metrics, not a status change: a job
+  // whose winnow hit UNKNOWN checks or ran out of pair budget stays ok.
+  for (const JobResult& r : summary.results) {
+    EXPECT_NE(json.find("\"subsume_solver_unknown\": " +
+                        std::to_string(r.subsume_stats.solver_unknown)),
+              std::string::npos);
+  }
+  EXPECT_NE(json.find("\"subsume_budget_exhausted\": "), std::string::npos);
+  Campaign::Summary degraded;
+  JobResult r = summary.results[0];
+  r.status = Status();
+  r.subsume_stats.solver_unknown = 2;
+  r.subsume_stats.budget_exhausted = true;
+  degraded.results.push_back(std::move(r));
+  const std::string djson = degraded.to_json();
+  EXPECT_NE(djson.find("\"subsume_solver_unknown\": 2"), std::string::npos);
+  EXPECT_NE(djson.find("\"subsume_budget_exhausted\": 1"), std::string::npos);
+  EXPECT_NE(djson.find("\"status\": \"ok\""), std::string::npos) << djson;
 
   const auto cp = summary.critical_path();
   ASSERT_GE(cp.job, 0);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "solver/solver.hpp"
 #include "support/rng.hpp"
 
@@ -548,6 +551,96 @@ TEST_F(SolverTest, SimplifierPreservesSemantics) {
       EXPECT_EQ(ctx.eval(out.e, env), out.v);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Multiplier encoding
+// ---------------------------------------------------------------------------
+
+/// The subsumption miter
+///   ((b * a) >>s 8) & 0x3f == (zext64(a[31:0] * b[31:0]) >>s 8) & 0x3f
+/// in a fresh context. Commutative operands are ordered by ref, so interning
+/// b[31:0] before a[31:0] gives the 32-bit product the opposite orientation
+/// of the 64-bit one. Returns whether the query was proven under the
+/// subsumption stage's 50,000-conflict cap; `unknowns` gets the UNKNOWN
+/// count.
+bool prove_truncated_product_miter(bool low_a_first, u64* unknowns) {
+  Context ctx;
+  const ExprRef a = ctx.var("rax0", 64);
+  const ExprRef b = ctx.var("rcx0", 64);
+  ExprRef lo_a, lo_b;
+  if (low_a_first) {
+    lo_a = ctx.extract(a, 0, 32);
+    lo_b = ctx.extract(b, 0, 32);
+  } else {
+    lo_b = ctx.extract(b, 0, 32);
+    lo_a = ctx.extract(a, 0, 32);
+  }
+  const auto field = [&](ExprRef v) {
+    return ctx.band(ctx.ashr(v, ctx.constant(8, 64)),
+                    ctx.constant(0x3f, 64));
+  };
+  const ExprRef wide = field(ctx.mul(b, a));
+  const ExprRef narrow = field(ctx.zext(ctx.mul(lo_a, lo_b), 64));
+  Solver solver(ctx, /*conflict_budget=*/50'000);
+  const bool proven = solver.prove_equal(wide, narrow);
+  *unknowns = solver.unknowns();
+  return proven;
+}
+
+TEST(BitBlast, MultiplierIsOrientationFree) {
+  for (const bool low_a_first : {true, false}) {
+    u64 unknowns = 1;
+    EXPECT_TRUE(prove_truncated_product_miter(low_a_first, &unknowns))
+        << "low_a_first=" << low_a_first;
+    EXPECT_EQ(unknowns, 0u) << "low_a_first=" << low_a_first;
+  }
+}
+
+TEST_F(SolverTest, MultiplierModelsMatchTruncatedProducts) {
+  Rng rng(15);
+  for (const u8 w : {1, 8, 32, 64}) {
+    const u64 mask = w == 64 ? ~u64{0} : (u64{1} << w) - 1;
+    const std::string tag = std::to_string(w);
+    const ExprRef x = ctx.var("x" + tag, w);
+    const ExprRef y = ctx.var("y" + tag, w);
+    const ExprRef p = ctx.var("p" + tag, w);
+    const ExprRef product = ctx.eq(p, ctx.mul(x, y));
+    std::vector<std::pair<u64, u64>> cases{{0, 0}, {1, mask}, {mask, mask}};
+    for (int i = 0; i < 8; ++i)
+      cases.emplace_back(rng.next() & mask, rng.next() & mask);
+    for (const auto& [c1, c2] : cases) {
+      const auto m = solver.check_sat(
+          {ctx.eq(x, c(c1, w)), ctx.eq(y, c(c2, w)), product});
+      ASSERT_TRUE(m.has_value()) << "w=" << tag << " " << c1 << "*" << c2;
+      EXPECT_EQ(m->at(p), (c1 * c2) & mask)
+          << "w=" << tag << " " << c1 << "*" << c2;
+    }
+  }
+}
+
+TEST(BitBlast, MultiplierIdentitiesAtWidth16) {
+  // x*y == y*x, with the two products built in opposite operand order: the
+  // 32-bit X*Y keeps (X, Y) while the 16-bit product of the low halves,
+  // whose Y half is interned first, is ordered (Y[15:0], X[15:0]). The
+  // 16-bit product is also the truncated 32-bit one, so one query checks
+  // both. The cap turns an encoding that needs search here into a failure,
+  // not a hang.
+  Context ctx;
+  Solver solver(ctx, /*conflict_budget=*/50'000);
+  const ExprRef big_x = ctx.var("X", 32);
+  const ExprRef big_y = ctx.var("Y", 32);
+  const ExprRef y = ctx.extract(big_y, 0, 16);
+  const ExprRef x = ctx.extract(big_x, 0, 16);
+  ASSERT_EQ(ctx.node(ctx.mul(x, y)).a, y);
+  EXPECT_TRUE(solver.prove_equal(ctx.extract(ctx.mul(big_x, big_y), 0, 16),
+                                 ctx.mul(x, y)));
+  const ExprRef eight = ctx.constant(8, 16);
+  EXPECT_TRUE(solver.prove_equal(ctx.mul(x, eight),
+                                 ctx.shl(x, ctx.constant(3, 16))));
+  EXPECT_FALSE(solver.prove_equal(ctx.mul(x, eight),
+                                  ctx.shl(x, ctx.constant(4, 16))));
+  EXPECT_EQ(solver.unknowns(), 0u);
 }
 
 }  // namespace
